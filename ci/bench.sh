@@ -10,7 +10,7 @@
 # through the cluster router and three local shard workers (scatter, merge,
 # document gather); BenchmarkFilteredSearch and BenchmarkRelated cover the
 # DocFilter plane: fused search under time-window and entity-facet filters
-# (with pruning counters) and related-news search on both BON legs.
+# (with pruning counters) and related-news search.
 # CI uploads the file as an artifact so the performance trajectory has a
 # reproducible, CI-generated source; run locally as
 #

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -20,11 +19,11 @@ import (
 // corpus with tombstones in distinct segments — the corpus shape every
 // DocFilter property below runs against. Returns the engine, the world
 // (for entity labels) and the articles (for timestamps and IDs).
-func filterFixture(t testing.TB, opts ...Option) (*Engine, *kg.World, []corpus.Article) {
+func filterFixture(t testing.TB) (*Engine, *kg.World, []corpus.Article) {
 	t.Helper()
 	w := kg.Generate(kg.DefaultConfig(19))
 	arts := corpus.Generate(w, corpus.CNNLike(), 90, 19)
-	e := New(w.Graph, append([]Option{DefaultConfig()}, opts...)...)
+	e := New(w.Graph, DefaultConfig())
 	for i, a := range arts {
 		if err := e.Add(Document{ID: a.ID, Title: a.Title, Text: a.Text, Time: a.Time}); err != nil {
 			t.Fatal(err)
@@ -65,16 +64,14 @@ func filterCases(w *kg.World, arts []corpus.Article) map[string]Query {
 	}
 }
 
-// sameResults compares rankings exactly by document and order, and scores
-// within float tolerance (separate traversals may accumulate in different
-// orders, so last-ulp differences are expected).
+// sameResults reports whether two result lists are identical, scores
+// included bit for bit: every traversal sums terms in the canonical order.
 func sameResults(a, b []Result) bool {
 	if len(a) != len(b) {
 		return false
 	}
 	for i := range a {
-		if a[i].ID != b[i].ID || a[i].Title != b[i].Title || a[i].Snippet != b[i].Snippet ||
-			math.Abs(a[i].Score-b[i].Score) > 1e-9 {
+		if a[i] != b[i] {
 			return false
 		}
 	}
@@ -217,7 +214,7 @@ func TestFilteredShardedTraversalAgrees(t *testing.T) {
 					t.Fatalf("%s q=%q k=%d: sharded returned %d hits, TAAT %d", name, qText, k, len(got), len(want))
 				}
 				for i := range got {
-					if got[i].Doc != want[i].Doc || math.Abs(got[i].Score-want[i].Score) > 1e-9 {
+					if got[i] != want[i] {
 						t.Fatalf("%s q=%q k=%d: sharded filtered block-max != TAAT\n%v\nvs\n%v", name, qText, k, got, want)
 					}
 				}
@@ -413,86 +410,78 @@ func TestRelatedMatchesBruteForce(t *testing.T) {
 }
 
 // TestRelatedSemantics: self-exclusion, error contract, and the
-// filtered-subsequence property on both BON legs (float and quantized).
-// With an exhaustive pool the filtered ranking must be exactly the
-// unfiltered ranking minus the filtered documents (normalization rescales
-// scores but never reorders a pure-BON ranking).
+// filtered-subsequence property. With an exhaustive pool the filtered
+// ranking must be exactly the unfiltered ranking minus the filtered
+// documents (normalization rescales scores but never reorders a pure-BON
+// ranking).
 func TestRelatedSemantics(t *testing.T) {
-	for _, leg := range []struct {
-		name string
-		opts []Option
-	}{
-		{"float", nil},
-		{"quantized", []Option{WithQuantizedEmbeddings()}},
-	} {
-		t.Run(leg.name, func(t *testing.T) {
-			e, _, arts := filterFixture(t, leg.opts...)
-			snap, err := e.acquire()
-			if err != nil {
-				t.Fatal(err)
+	t.Run("float", func(t *testing.T) {
+		e, _, arts := filterFixture(t)
+		snap, err := e.acquire()
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := arts[7]
+		full, err := e.RelatedContext(context.Background(), RelatedQuery{DocID: src.ID, K: 90, PoolDepth: 90})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(full) == 0 {
+			t.Fatal("no related documents for an event article")
+		}
+		for _, r := range full {
+			if r.ID == src.ID {
+				t.Fatal("Related returned the source document")
 			}
-			src := arts[7]
-			full, err := e.RelatedContext(context.Background(), RelatedQuery{DocID: src.ID, K: 90, PoolDepth: 90})
-			if err != nil {
-				t.Fatal(err)
+		}
+		for i := 1; i < len(full); i++ {
+			if full[i].Score > full[i-1].Score {
+				t.Fatal("related results not sorted by score")
 			}
-			if len(full) == 0 {
-				t.Fatal("no related documents for an event article")
+		}
+		// Filtered = unfiltered subsequence under the predicate.
+		mid, late := arts[len(arts)/2].Time, arts[3*len(arts)/4].Time
+		filtered, err := e.RelatedContext(context.Background(),
+			RelatedQuery{DocID: src.ID, K: 90, PoolDepth: 90, After: mid, Before: late})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wantIDs []int
+		for _, r := range full {
+			if tm := arts[r.ID].Time; tm >= mid && tm <= late {
+				wantIDs = append(wantIDs, r.ID)
 			}
-			for _, r := range full {
-				if r.ID == src.ID {
-					t.Fatal("Related returned the source document")
-				}
+		}
+		gotIDs := make([]int, len(filtered))
+		for i, r := range filtered {
+			gotIDs[i] = r.ID
+		}
+		if !reflect.DeepEqual(gotIDs, wantIDs) {
+			t.Fatalf("filtered related IDs %v, want unfiltered-minus-filtered %v", gotIDs, wantIDs)
+		}
+		// Error contract.
+		if _, err := e.Related(arts[5].ID, 3); !errors.Is(err, ErrUnknownDoc) {
+			t.Fatalf("tombstoned source returned %v, want ErrUnknownDoc", err)
+		}
+		if _, err := e.Related(1<<30, 3); !errors.Is(err, ErrUnknownDoc) {
+			t.Fatalf("unknown source returned %v, want ErrUnknownDoc", err)
+		}
+		if _, err := e.Related(arts[0].ID, 0); !errors.Is(err, ErrInvalidK) {
+			t.Fatalf("k=0 returned %v, want ErrInvalidK", err)
+		}
+		// A document that embedded to nothing relates to nothing.
+		for pos := 0; pos < snap.numDocs; pos++ {
+			if snap.embedding(pos) != nil {
+				continue
 			}
-			for i := 1; i < len(full); i++ {
-				if full[i].Score > full[i-1].Score {
-					t.Fatal("related results not sorted by score")
-				}
+			doc := snap.doc(pos)
+			res, err := e.Related(doc.ID, 5)
+			if err != nil || len(res) != 0 {
+				t.Fatalf("embedding-less doc %d: got %v, %v; want empty, nil", doc.ID, res, err)
 			}
-			// Filtered = unfiltered subsequence under the predicate.
-			mid, late := arts[len(arts)/2].Time, arts[3*len(arts)/4].Time
-			filtered, err := e.RelatedContext(context.Background(),
-				RelatedQuery{DocID: src.ID, K: 90, PoolDepth: 90, After: mid, Before: late})
-			if err != nil {
-				t.Fatal(err)
-			}
-			var wantIDs []int
-			for _, r := range full {
-				if tm := arts[r.ID].Time; tm >= mid && tm <= late {
-					wantIDs = append(wantIDs, r.ID)
-				}
-			}
-			gotIDs := make([]int, len(filtered))
-			for i, r := range filtered {
-				gotIDs[i] = r.ID
-			}
-			if !reflect.DeepEqual(gotIDs, wantIDs) {
-				t.Fatalf("filtered related IDs %v, want unfiltered-minus-filtered %v", gotIDs, wantIDs)
-			}
-			// Error contract.
-			if _, err := e.Related(arts[5].ID, 3); !errors.Is(err, ErrUnknownDoc) {
-				t.Fatalf("tombstoned source returned %v, want ErrUnknownDoc", err)
-			}
-			if _, err := e.Related(1<<30, 3); !errors.Is(err, ErrUnknownDoc) {
-				t.Fatalf("unknown source returned %v, want ErrUnknownDoc", err)
-			}
-			if _, err := e.Related(arts[0].ID, 0); !errors.Is(err, ErrInvalidK) {
-				t.Fatalf("k=0 returned %v, want ErrInvalidK", err)
-			}
-			// A document that embedded to nothing relates to nothing.
-			for pos := 0; pos < snap.numDocs; pos++ {
-				if snap.embedding(pos) != nil {
-					continue
-				}
-				doc := snap.doc(pos)
-				res, err := e.Related(doc.ID, 5)
-				if err != nil || len(res) != 0 {
-					t.Fatalf("embedding-less doc %d: got %v, %v; want empty, nil", doc.ID, res, err)
-				}
-				break
-			}
-		})
-	}
+			break
+		}
+	})
 }
 
 // TestWALTimestampBackCompat: records written before the timestamp existed

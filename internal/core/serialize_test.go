@@ -2,11 +2,12 @@ package core
 
 import (
 	"bytes"
+	"os"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"newslink/internal/kg"
-	"newslink/internal/textembed"
 )
 
 func TestEmbeddingsRoundTrip(t *testing.T) {
@@ -84,77 +85,102 @@ func eqArcs(a, b []PathArc) bool {
 	return true
 }
 
-// TestEmbeddingsSigsRoundTrip covers the version-2 format: signatures
-// survive the round trip exactly; writing nil signatures stays
-// byte-identical to version 1 (snapshot determinism for non-quantized
-// engines); version-1 data reads back with nil signatures.
-func TestEmbeddingsSigsRoundTrip(t *testing.T) {
+// TestReadEmbeddingsV2Fixture: snapshots saved by the retired int8-quantized
+// BON mode carry emb.bin in the NLEMB2 format. testdata/emb_v2.bin and
+// testdata/emb_v1.bin were written by that mode's encoder from the same
+// four documents (one unembeddable), with and without signatures. Both
+// must decode to the same embeddings, the NLEMB1 writer must reproduce
+// emb_v1.bin byte for byte, and a truncated signature block must fail
+// rather than load silently.
+func TestReadEmbeddingsV2Fixture(t *testing.T) {
 	g := figure1Graph()
-	e := NewEmbedder(g, Options{})
-	embs := []*DocEmbedding{
-		e.EmbedGroups([][]string{{"pakistan", "taliban"}}),
-		nil,
-		e.EmbedGroups([][]string{{"taliban"}}),
-	}
-	sigs := []textembed.Int8Vector{
-		{Scale: 0.0123, Data: []int8{127, -128, 0, 5, -7}},
-		{}, // unembeddable document: no signature
-		{Scale: 1, Data: []int8{1, 2, 3}},
-	}
-	var v2 bytes.Buffer
-	if err := WriteEmbeddingsSigs(&v2, embs, sigs); err != nil {
-		t.Fatal(err)
-	}
-	gotEmbs, gotSigs, err := ReadEmbeddingsSigs(bytes.NewReader(v2.Bytes()), g)
+	v1, err := os.ReadFile("testdata/emb_v1.bin")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(gotEmbs) != len(embs) || gotEmbs[1] != nil {
-		t.Fatalf("embeddings not preserved: %d docs", len(gotEmbs))
-	}
-	if len(gotSigs) != len(sigs) {
-		t.Fatalf("signatures = %d, want %d", len(gotSigs), len(sigs))
-	}
-	for i := range sigs {
-		if gotSigs[i].Scale != sigs[i].Scale {
-			t.Fatalf("doc %d scale = %v, want %v", i, gotSigs[i].Scale, sigs[i].Scale)
-		}
-		if len(gotSigs[i].Data) != len(sigs[i].Data) {
-			t.Fatalf("doc %d dim = %d, want %d", i, len(gotSigs[i].Data), len(sigs[i].Data))
-		}
-		for j := range sigs[i].Data {
-			if gotSigs[i].Data[j] != sigs[i].Data[j] {
-				t.Fatalf("doc %d component %d = %d, want %d", i, j, gotSigs[i].Data[j], sigs[i].Data[j])
-			}
-		}
-	}
-	// Nil signatures → exactly the version-1 bytes.
-	var v1a, v1b bytes.Buffer
-	if err := WriteEmbeddings(&v1a, embs); err != nil {
+	v2, err := os.ReadFile("testdata/emb_v2.bin")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteEmbeddingsSigs(&v1b, embs, nil); err != nil {
+	want, err := ReadEmbeddings(bytes.NewReader(v1), g)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(v1a.Bytes(), v1b.Bytes()) {
-		t.Fatal("nil-signature write diverged from version-1 bytes")
+	got, err := ReadEmbeddings(bytes.NewReader(v2), g)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Version-1 data reads back with nil signatures through either entry.
-	if _, s, err := ReadEmbeddingsSigs(bytes.NewReader(v1a.Bytes()), g); err != nil || s != nil {
-		t.Fatalf("version-1 read: sigs=%v err=%v", s, err)
+	if len(got) != 4 || got[1] != nil || got[0] == nil {
+		t.Fatalf("decoded %d docs from the fixture, want 4 with doc 1 absent", len(got))
 	}
-	if _, err := ReadEmbeddings(bytes.NewReader(v2.Bytes()), g); err != nil {
-		t.Fatalf("version-2 via ReadEmbeddings: %v", err)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("NLEMB2 fixture decodes differently from its NLEMB1 twin")
 	}
-	// Mismatched lengths must be rejected at write time.
-	if err := WriteEmbeddingsSigs(&bytes.Buffer{}, embs, sigs[:2]); err == nil {
-		t.Fatal("mismatched signature count: expected error")
+	var buf bytes.Buffer
+	if err := WriteEmbeddings(&buf, got); err != nil {
+		t.Fatal(err)
 	}
-	// A truncated signature section must fail, not silently yield fewer.
-	trunc := v2.Bytes()[:v2.Len()-2]
-	if _, _, err := ReadEmbeddingsSigs(bytes.NewReader(trunc), g); err == nil {
-		t.Fatal("truncated signatures: expected error")
+	if !bytes.Equal(buf.Bytes(), v1) {
+		t.Fatal("re-encoding the fixture's embeddings diverged from emb_v1.bin")
 	}
+	if _, err := ReadEmbeddings(bytes.NewReader(v2[:len(v2)-2]), g); err == nil {
+		t.Fatal("truncated signature block: expected error")
+	}
+}
+
+// TestReadEmbeddingsBoundsAllocation: the document count in the header is
+// untrusted. An 11-byte file claiming 2^28-1 documents must fail at EOF
+// without allocating for the claimed count first.
+func TestReadEmbeddingsBoundsAllocation(t *testing.T) {
+	g := figure1Graph()
+	data := append([]byte(embMagic), 0xff, 0xff, 0xff, 0x0f)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	_, err := ReadEmbeddings(bytes.NewReader(data), g)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("truncated body: expected error")
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("decoding an 11-byte header allocated %d bytes, want < 1 MiB", alloc)
+	}
+}
+
+// FuzzEmbeddingDecode: arbitrary bytes must never panic the decoder, and
+// whatever decodes must survive a re-encode: encode(decode(x)) decodes
+// again and re-encodes to the same bytes.
+func FuzzEmbeddingDecode(f *testing.F) {
+	for _, name := range []string{"testdata/emb_v1.bin", "testdata/emb_v2.bin"} {
+		data, err := os.ReadFile(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte(embMagic))
+	f.Add(append([]byte(embMagicV2), 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0))
+	g := figure1Graph()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		embs, err := ReadEmbeddings(bytes.NewReader(data), g)
+		if err != nil {
+			return
+		}
+		var first, second bytes.Buffer
+		if err := WriteEmbeddings(&first, embs); err != nil {
+			t.Fatalf("re-encoding decoded embeddings: %v", err)
+		}
+		again, err := ReadEmbeddings(bytes.NewReader(first.Bytes()), g)
+		if err != nil {
+			t.Fatalf("decoding a re-encoded snapshot: %v", err)
+		}
+		if err := WriteEmbeddings(&second, again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatal("encode/decode is not a fixed point")
+		}
+	})
 }
 
 func TestReadEmbeddingsRejectsCorruption(t *testing.T) {
@@ -166,8 +192,18 @@ func TestReadEmbeddingsRejectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
-	if _, err := ReadEmbeddings(bytes.NewReader(data[:len(data)/2]), g); err == nil {
-		t.Error("truncated: expected error")
+	// Every strict prefix of a valid snapshot, in either version, must fail
+	// to decode rather than yield fewer documents.
+	for _, name := range []string{"testdata/emb_v1.bin", "testdata/emb_v2.bin"} {
+		full, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for n := range full {
+			if _, err := ReadEmbeddings(bytes.NewReader(full[:n]), g); err == nil {
+				t.Fatalf("%s truncated to %d of %d bytes: expected error", name, n, len(full))
+			}
+		}
 	}
 	bad := append([]byte(nil), data...)
 	bad[0] = 'X'

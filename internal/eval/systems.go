@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 
 	"newslink"
@@ -85,7 +86,8 @@ func (s *LuceneSystem) Name() string { return "Lucene" }
 
 // Search implements System.
 func (s *LuceneSystem) Search(query string, k int) []int {
-	hits := search.TopKMaxScore(s.idx, search.NewBM25(s.idx), search.NewQuery(nlp.Terms(query)), k)
+	// An in-memory index under a background context cannot fail.
+	hits, _, _ := search.TopKBlockMaxStats(context.Background(), s.idx, search.NewBM25(s.idx), search.NewQuery(nlp.Terms(query)), k)
 	out := make([]int, len(hits))
 	for i, h := range hits {
 		out[i] = int(h.Doc)

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"strconv"
 	"strings"
@@ -162,6 +163,8 @@ func RunTable8(scale Scale) Table8Result {
 
 	var r Table8Result
 	queries := d.Queries(Densest, d.Spec.Seed+41)
+	// In-memory indexes under a background context: retrieval cannot fail.
+	ctx := context.Background()
 	for _, q := range queries {
 		t0 := time.Now()
 		doc := d.Pipeline.Process(q.Text)
@@ -177,14 +180,14 @@ func RunTable8(scale Scale) Table8Result {
 		r.NE += time.Since(t0)
 
 		t0 = time.Now()
-		bow := search.TopKMaxScore(textIdx, search.NewBM25(textIdx), search.NewQuery(terms), 100)
+		bow, _, _ := search.TopKBlockMaxStats(ctx, textIdx, search.NewBM25(textIdx), search.NewQuery(terms), 100)
 		var bon []search.Hit
 		if emb != nil {
 			nq := make(search.Query, len(emb.Counts))
 			for n, c := range emb.Counts {
 				nq[strconv.FormatUint(uint64(n), 36)] = float64(c)
 			}
-			bon = search.TopKMaxScore(nodeIdx, search.NewBM25(nodeIdx), nq, 100)
+			bon, _, _ = search.TopKBlockMaxStats(ctx, nodeIdx, search.NewBM25(nodeIdx), nq, 100)
 		}
 		search.Fuse(bow, bon, 0.2, 20)
 		r.NS += time.Since(t0)

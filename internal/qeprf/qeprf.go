@@ -6,6 +6,7 @@
 package qeprf
 
 import (
+	"context"
 	"sort"
 	"strings"
 
@@ -73,11 +74,14 @@ func (e *Engine) Search(query string, k int) []search.Hit {
 	}
 	// Phase 2: initial retrieval, then PRF re-ranking.
 	pool := k + e.Cfg.FeedbackDocs
-	initial := search.TopK(e.Idx, scorer, q, pool)
+	// An in-memory index under a background context cannot fail.
+	ctx := context.Background()
+	initial, _, _ := search.TopKBlockMaxStats(ctx, e.Idx, scorer, q, pool)
 	for term, w := range e.prfExpansion(initial) {
 		q[term] += w
 	}
-	return search.TopK(e.Idx, scorer, q, k)
+	hits, _, _ := search.TopKBlockMaxStats(ctx, e.Idx, scorer, q, k)
+	return hits
 }
 
 // kgExpansion links entities in the query and extracts description terms:

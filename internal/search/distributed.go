@@ -103,8 +103,7 @@ func TopKBlockMaxOrderedStats(ctx context.Context, idx index.Source, s Scorer, o
 		st.Postings += t.DF
 	}
 	st.Terms = len(terms)
-	suffixBound := bmSuffixBounds(terms)
-	hits, fanST, err := blockMaxFanout(ctx, idx, s, terms, suffixBound, k, shards)
+	hits, fanST, err := blockMaxFanout(ctx, idx, s, terms, suffixBounds(terms), k, shards)
 	if err != nil {
 		return nil, st, err
 	}

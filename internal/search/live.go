@@ -4,9 +4,8 @@ import "newslink/internal/index"
 
 // LiveSource is the optional interface an index.Source implements when it
 // carries a tombstone mask (index.LiveFiltered). Every retrieval path —
-// TopK, TopKMaxScore*, TopKBlockMax* and the sharded variants — consults it
-// so a tombstoned document is never scored, admitted to an accumulator, or
-// returned, while the source's corpus statistics (DF, AvgDocLen) keep
+// TopK and the TopKBlockMax* traversals — consults it so a tombstoned
+// document is never scored, admitted to an accumulator, or returned, while the source's corpus statistics (DF, AvgDocLen) keep
 // including tombstoned docs until a merge rewrites them (Lucene deletion
 // semantics; see DESIGN.md §11).
 //

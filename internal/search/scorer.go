@@ -1,7 +1,7 @@
 // Package search implements the query-processing half of the NS component
-// (Section VI): VSM scoring over an inverted index (BM25 as in the paper's
-// Lucene setup, plus classic TF-IDF cosine), exact and pruned top-k
-// retrieval, and the BOW/BON score fusion of Equation 3.
+// (Section VI): BM25 scoring over an inverted index (as in the paper's
+// Lucene setup), block-max top-k retrieval with an exhaustive reference,
+// and the BOW/BON score fusion of Equation 3.
 package search
 
 import (
@@ -19,7 +19,7 @@ type Scorer interface {
 	// frequency, docLen the document length.
 	Weight(tf float64, df int, docLen float64) float64
 	// MaxWeight returns an upper bound of Weight over all documents in the
-	// postings list, used by max-score pruning.
+	// postings list, used by block-max pruning.
 	MaxWeight(maxTF float64, df int) float64
 }
 
@@ -57,33 +57,4 @@ func (s BM25) Weight(tf float64, df int, docLen float64) float64 {
 func (s BM25) MaxWeight(maxTF float64, df int) float64 {
 	norm := s.K1 * (1 - s.B) // docLen -> 0 lower-bounds the length norm
 	return s.idf(df) * maxTF * (s.K1 + 1) / (maxTF + norm)
-}
-
-// TFIDF is the classic log-TF/IDF weighting with document-length
-// normalization by sqrt(len) (Lucene classic similarity flavour).
-type TFIDF struct {
-	N int
-}
-
-// NewTFIDF returns a TFIDF scorer for the given index.
-func NewTFIDF(idx index.Source) TFIDF { return TFIDF{N: idx.NumDocs()} }
-
-func (s TFIDF) idf(df int) float64 {
-	if df == 0 {
-		return 0
-	}
-	return 1 + math.Log(float64(s.N)/float64(df))
-}
-
-// Weight implements Scorer.
-func (s TFIDF) Weight(tf float64, df int, docLen float64) float64 {
-	if tf <= 0 || docLen <= 0 {
-		return 0
-	}
-	return (1 + math.Log(tf)) * s.idf(df) / math.Sqrt(docLen)
-}
-
-// MaxWeight implements Scorer.
-func (s TFIDF) MaxWeight(maxTF float64, df int) float64 {
-	return (1 + math.Log(math.Max(maxTF, 1))) * s.idf(df) // docLen>=tf>=1
 }

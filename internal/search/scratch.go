@@ -80,9 +80,9 @@ func (a *bmAcc) release() {
 	bmAccPool.Put(a)
 }
 
-// mapAccPool recycles the map accumulators of the exact TAAT paths
-// (TopK, maxScoreAccumulate). Maps are cleared on release, so reuse keeps
-// the buckets warm without leaking scores between requests.
+// mapAccPool recycles the map accumulators of the TopK reference. Maps are
+// cleared on release, so reuse keeps the buckets warm without leaking
+// scores between requests.
 var mapAccPool = sync.Pool{New: func() any { return make(map[index.DocID]float64) }}
 
 func acquireMapAcc() map[index.DocID]float64 { return mapAccPool.Get().(map[index.DocID]float64) }
@@ -90,15 +90,4 @@ func acquireMapAcc() map[index.DocID]float64 { return mapAccPool.Get().(map[inde
 func releaseMapAcc(m map[index.DocID]float64) {
 	clear(m)
 	mapAccPool.Put(m)
-}
-
-// seenSetPool recycles the seen sets of the threshold-algorithm fusion
-// path (ThresholdTopK).
-var seenSetPool = sync.Pool{New: func() any { return make(map[index.DocID]bool) }}
-
-func acquireSeenSet() map[index.DocID]bool { return seenSetPool.Get().(map[index.DocID]bool) }
-
-func releaseSeenSet(m map[index.DocID]bool) {
-	clear(m)
-	seenSetPool.Put(m)
 }

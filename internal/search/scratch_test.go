@@ -79,10 +79,10 @@ func TestPooledReuseIdentityUnderConcurrency(t *testing.T) {
 			q[vocab[rng.Intn(len(vocab))]] = 0.5 + rng.Float64()
 		}
 		k := 1 + rng.Intn(15)
-		// The block-max paths are bitwise identical to max-score (same term
-		// order, same summation order), so the reference comparison below
-		// can demand exact equality, not tolerance.
-		cases[ci] = testCase{idx, s, q, k, TopKMaxScore(idx, s, q, k)}
+		// The block-max paths are bitwise identical to the reference (same
+		// canonical term order, same summation order), so the comparison
+		// below can demand exact equality, not tolerance.
+		cases[ci] = testCase{idx, s, q, k, TopK(idx, s, q, k)}
 	}
 	ctx := context.Background()
 	const goroutines = 8
@@ -139,37 +139,38 @@ func queryTerms(q Query) []string {
 	return out
 }
 
-// TestPooledHeapAndMapReuse: the exact TAAT and TA-fusion paths share the
-// pooled map accumulators and reusable threshold heaps; interleaving them
-// must not corrupt results.
+// TestPooledHeapAndMapReuse: the TopK reference recycles pooled map
+// accumulators and the block-max paths pooled dense ones; interleaving them
+// must not corrupt results, and the reference must be reproducible — every
+// repeat bitwise equal to its first result and to block-max. (Summing in
+// map-iteration order over the query made repeats differ in the last ulp.)
 func TestPooledHeapAndMapReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(31337))
 	vocab := []string{"x", "y", "z", "w", "v"}
+	ctx := context.Background()
 	for trial := 0; trial < 20; trial++ {
 		idx := randomCorpus(rng, 100+rng.Intn(1500), vocab)
 		s := NewBM25(idx)
 		q := Query{}
-		for i, nq := 0, 1+rng.Intn(3); i < nq; i++ {
+		for i, nq := 0, 1+rng.Intn(4); i < nq; i++ {
 			q[vocab[rng.Intn(len(vocab))]] = 0.5 + rng.Float64()
 		}
 		k := 1 + rng.Intn(10)
-		want := TopKMaxScore(idx, s, q, k)
-		exact := TopK(idx, s, q, k)
-		if len(want) != len(exact) {
-			t.Fatalf("trial %d: maxscore length %d, exact %d", trial, len(want), len(exact))
-		}
-		for rep := 0; rep < 3; rep++ {
-			got := TopKMaxScore(idx, s, q, k)
-			if len(got) != len(want) {
-				t.Fatalf("trial %d rep %d: maxscore length %d want %d", trial, rep, len(got), len(want))
+		want := TopK(idx, s, q, k)
+		for rep := 0; rep < 5; rep++ {
+			bm, _, err := TopKBlockMaxStats(ctx, idx, s, q, k)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("trial %d rep %d rank %d: %v want %v", trial, rep, i, got[i], want[i])
+			for name, got := range map[string][]Hit{"TopK": TopK(idx, s, q, k), "BlockMax": bm} {
+				if len(got) != len(want) {
+					t.Fatalf("trial %d rep %d: %s length %d want %d", trial, rep, name, len(got), len(want))
 				}
-			}
-			if got := TopK(idx, s, q, k); len(got) != len(exact) {
-				t.Fatalf("trial %d rep %d: TopK length drifted on reuse", trial, rep)
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("trial %d rep %d rank %d: %s %v want %v", trial, rep, i, name, got[i], want[i])
+					}
+				}
 			}
 		}
 	}

@@ -77,61 +77,6 @@ func TestBM25Properties(t *testing.T) {
 	}
 }
 
-func TestTFIDFProperties(t *testing.T) {
-	idx := buildIdx("a b", "a c", "d d")
-	s := NewTFIDF(idx)
-	if s.Weight(1, 0, 2) != 0 {
-		t.Fatal("df=0 should score 0")
-	}
-	if s.Weight(2, 1, 4) <= s.Weight(1, 1, 4) {
-		t.Fatal("TFIDF not increasing in tf")
-	}
-	if s.Weight(1, 1, 2) <= s.Weight(1, 2, 2) {
-		t.Fatal("TFIDF idf not decreasing in df")
-	}
-	if s.Weight(1, 1, 1) > s.MaxWeight(1, 1)+1e-12 {
-		t.Fatal("MaxWeight not an upper bound")
-	}
-}
-
-// TestMaxScoreAgreesWithExact: the pruned evaluation must return exactly the
-// same ranking as exhaustive accumulation on random corpora.
-func TestMaxScoreAgreesWithExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	vocab := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
-	for trial := 0; trial < 30; trial++ {
-		b := index.NewBuilder()
-		nDocs := 5 + rng.Intn(60)
-		for d := 0; d < nDocs; d++ {
-			n := 1 + rng.Intn(10)
-			var terms []string
-			for i := 0; i < n; i++ {
-				terms = append(terms, vocab[rng.Intn(len(vocab))])
-			}
-			b.Add(terms)
-		}
-		idx := b.Build()
-		s := NewBM25(idx)
-		nq := 1 + rng.Intn(4)
-		var qterms []string
-		for i := 0; i < nq; i++ {
-			qterms = append(qterms, vocab[rng.Intn(len(vocab))])
-		}
-		k := 1 + rng.Intn(10)
-		exact := TopK(idx, s, NewQuery(qterms), k)
-		pruned := TopKMaxScore(idx, s, NewQuery(qterms), k)
-		if len(exact) != len(pruned) {
-			t.Fatalf("trial %d: lengths %d vs %d", trial, len(exact), len(pruned))
-		}
-		for i := range exact {
-			if exact[i].Doc != pruned[i].Doc || math.Abs(exact[i].Score-pruned[i].Score) > 1e-9 {
-				t.Fatalf("trial %d rank %d: exact %v pruned %v (query %v k=%d)",
-					trial, i, exact[i], pruned[i], qterms, k)
-			}
-		}
-	}
-}
-
 func TestTopKEdgeCases(t *testing.T) {
 	idx := buildIdx("a b", "b c")
 	s := NewBM25(idx)
@@ -146,9 +91,6 @@ func TestTopKEdgeCases(t *testing.T) {
 	}
 	if got := TopK(idx, s, NewQuery([]string{"a"}), 100); len(got) != 1 {
 		t.Fatalf("k > matches: %v", got)
-	}
-	if got := TopKMaxScore(idx, s, NewQuery([]string{"zzz"}), 5); got != nil {
-		t.Fatalf("maxscore unknown term: %v", got)
 	}
 }
 

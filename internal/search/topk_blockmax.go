@@ -1,38 +1,40 @@
 package search
 
 import (
+	"cmp"
 	"context"
 	"math/bits"
-	"sort"
+	"slices"
+	"strings"
 
 	"newslink/internal/index"
 )
 
-// Block-Max MaxScore evaluation.
+// Block-Max MaxScore evaluation: the one top-k traversal.
 //
-// TopKMaxScore prunes at whole-list granularity: once the suffix bound of
-// the remaining terms drops below the running threshold, new documents stop
-// being admitted — but every posting of every term is still decoded and
-// inspected. The block layout (internal/index) stores a summary (last doc
-// ID, max TF) per 128-posting block, which yields a much tighter per-block
-// upper bound: qw·MaxWeight(blockMaxTF, df) + suffixBound[i+1]. A block
-// whose bound cannot reach the threshold and that contains no already-
-// accumulated document is skipped without being decoded — on a DiskIndex
-// its bytes are never read at all.
+// Terms are processed in decreasing score-bound order. Whole-list MaxScore
+// (Turtle & Flood) stops admitting new documents once the suffix bound of
+// the remaining terms drops below the running k-th score, but still decodes
+// every posting. The block layout (internal/index) stores a summary (last
+// doc ID, max TF) per 128-posting block, which yields a much tighter
+// per-block upper bound: qw·MaxWeight(blockMaxTF, df) + suffixBound[i+1]. A
+// block whose bound cannot reach the threshold and that contains no
+// still-viable accumulated document is skipped without being decoded — on a
+// DiskIndex its bytes are never read at all.
 //
-// The result is provably rank- and score-identical to TopK (exact TAAT) and
-// TopKMaxScore — see DESIGN.md §10 for the safety argument; the short form:
-// a document's first-appearance block is never skipped unless its total
-// score is strictly below the final k-th score; an accumulated document is
+// The result is provably rank- and score-identical to TopK, the exhaustive
+// reference — see DESIGN.md §10 for the safety argument; the short form: a
+// document's first-appearance block is never skipped unless its total score
+// is strictly below the final k-th score; an accumulated document is
 // rescored (hasAcc forces the decode) until its partial score plus every
 // remaining term bound falls strictly below the threshold, after which its
 // total provably cannot reach the final k-th score either; and winners'
-// scores are summed in the same term order as TopKMaxScore, so the
+// scores are summed in the same canonical term order TopK uses, so the
 // surviving top k is bitwise identical.
 
-// bmTerm is one query term prepared for block-max evaluation. Unlike
-// termInfo it carries no postings — only directory-level summaries — so
-// preparation decodes nothing.
+// bmTerm is one query term prepared for block-max evaluation. It carries no
+// postings — only directory-level summaries — so preparation decodes
+// nothing.
 type bmTerm struct {
 	term  string
 	qw    float64
@@ -70,16 +72,17 @@ func prepareBlockTerms(idx index.Source, s Scorer, q Query) ([]bmTerm, int) {
 // sortBMTerms applies the canonical execution order: decreasing bound,
 // ties by term for determinism.
 func sortBMTerms(terms []bmTerm) {
-	sort.Slice(terms, func(i, j int) bool {
-		if terms[i].bound != terms[j].bound {
-			return terms[i].bound > terms[j].bound
+	slices.SortFunc(terms, func(a, b bmTerm) int {
+		if c := cmp.Compare(b.bound, a.bound); c != 0 {
+			return c
 		}
-		return terms[i].term < terms[j].term
+		return strings.Compare(a.term, b.term)
 	})
 }
 
-// bmSuffixBounds is suffixBounds over block-max terms.
-func bmSuffixBounds(terms []bmTerm) []float64 {
+// suffixBounds returns cumulative bound sums: out[i] = sum of bounds of
+// terms[i:].
+func suffixBounds(terms []bmTerm) []float64 {
 	out := make([]float64, len(terms)+1)
 	for i := len(terms) - 1; i >= 0; i-- {
 		out[i] = out[i+1] + terms[i].bound
@@ -87,55 +90,22 @@ func bmSuffixBounds(terms []bmTerm) []float64 {
 	return out
 }
 
-// TopKBlockMax evaluates the query with block-max pruning. Results equal
-// TopK exactly.
-func TopKBlockMax(idx index.Source, s Scorer, q Query, k int) []Hit {
-	hits, _ := TopKBlockMaxContext(context.Background(), idx, s, q, k)
-	return hits
-}
-
-// TopKBlockMaxContext is TopKBlockMax with cooperative cancellation. Unlike
-// Postings-based traversal — where a disk read failure looks like an absent
-// term — block decode/IO errors surface as errors.
-func TopKBlockMaxContext(ctx context.Context, idx index.Source, s Scorer, q Query, k int) ([]Hit, error) {
-	hits, _, err := TopKBlockMaxStats(ctx, idx, s, q, k)
-	return hits, err
-}
-
-// TopKBlockMaxStats is TopKBlockMaxContext reporting retrieval statistics,
-// including how many blocks the bound pruned without decoding.
+// TopKBlockMaxStats evaluates the query sequentially with block-max
+// pruning and reports retrieval statistics, including how many blocks the
+// bound pruned without decoding. Unlike Postings-based traversal — where a
+// disk read failure looks like an absent term — block decode/IO errors
+// surface as errors, and a done ctx aborts the traversal with ctx.Err().
 func TopKBlockMaxStats(ctx context.Context, idx index.Source, s Scorer, q Query, k int) ([]Hit, RetrievalStats, error) {
-	var st RetrievalStats
-	st.Shards = 1
-	if k <= 0 || len(q) == 0 {
-		return nil, st, ctx.Err()
-	}
-	terms, total := prepareBlockTerms(idx, s, q)
-	if terms == nil {
-		return nil, st, ctx.Err()
-	}
-	st.Terms = len(terms)
-	st.Postings = total
-	suffixBound := bmSuffixBounds(terms)
-	hits, shardST, err := blockMaxAccumulate(ctx, idx, s, terms, suffixBound, k, nil)
-	if err != nil {
-		return nil, st, err
-	}
-	st.add(shardST)
-	return hits, st, nil
+	return TopKBlockMaxShardedStats(ctx, idx, s, q, k, 1)
 }
 
-// TopKBlockMaxSharded is the block-max counterpart of TopKMaxScoreSharded:
-// the document space is split into contiguous DocID ranges and every shard
-// runs the block-max loop with its own cursors (cursors are single-owner;
-// index sources are immutable, so any number may traverse concurrently).
-func TopKBlockMaxSharded(ctx context.Context, idx index.Source, s Scorer, q Query, k, shards int) ([]Hit, error) {
-	hits, _, err := TopKBlockMaxShardedStats(ctx, idx, s, q, k, shards)
-	return hits, err
-}
-
-// TopKBlockMaxShardedStats is TopKBlockMaxSharded reporting retrieval
-// statistics aggregated across shards.
+// TopKBlockMaxShardedStats is TopKBlockMaxStats with the document space
+// split into up to `shards` contiguous DocID ranges, each running the
+// block-max loop with its own cursors (cursors are single-owner; index
+// sources are immutable, so any number may traverse concurrently). A
+// document is scored by exactly one shard in the same term order, so the
+// merged result equals the sequential one bit for bit. Stats are
+// aggregated across shards; Stats.Shards is the fan-out actually used.
 func TopKBlockMaxShardedStats(ctx context.Context, idx index.Source, s Scorer, q Query, k, shards int) ([]Hit, RetrievalStats, error) {
 	var st RetrievalStats
 	st.Shards = max(shards, 1)
@@ -148,8 +118,7 @@ func TopKBlockMaxShardedStats(ctx context.Context, idx index.Source, s Scorer, q
 	}
 	st.Terms = len(terms)
 	st.Postings = total
-	suffixBound := bmSuffixBounds(terms)
-	hits, fanST, err := blockMaxFanout(ctx, idx, s, terms, suffixBound, k, shards)
+	hits, fanST, err := blockMaxFanout(ctx, idx, s, terms, suffixBounds(terms), k, shards)
 	if err != nil {
 		return nil, st, err
 	}
@@ -161,7 +130,7 @@ func TopKBlockMaxShardedStats(ctx context.Context, idx index.Source, s Scorer, q
 // bmAcc is a dense score accumulator over one contiguous DocID range
 // [lo, hi). Each blockMaxAccumulate call owns such a range (the whole
 // index, or one shard), so plain array indexing replaces the map the
-// TAAT paths use — the accumulator's memory is proportional to the range,
+// TopK reference uses — the accumulator's memory is proportional to the range,
 // comparable to the index's own per-document overhead, and every
 // per-posting operation is O(1) without hashing. Two bitmaps ride along:
 // seen marks documents with an accumulator entry; viable marks the subset
@@ -325,7 +294,8 @@ func blockMaxAccumulate(ctx context.Context, idx index.Source, s Scorer, terms [
 		if err := ctx.Err(); err != nil {
 			return nil, st, err
 		}
-		// >= keeps tie-breaking exact, as in maxScoreAccumulate.
+		// >= keeps tie-breaking exact: a new doc bounded at exactly the
+		// current threshold could still win a tie on DocID.
 		newDocsAllowed := suffixBound[i] >= th.min()
 		if min := th.min(); min > 0 {
 			acc.sweep(suffixBound[i], min)

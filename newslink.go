@@ -486,7 +486,6 @@ func (e *Engine) sealPendingLocked() *segment {
 	seg := &segment{
 		docs:  e.pendDocs,
 		embs:  e.pendEmbs,
-		sigs:  e.buildSigs(e.pendEmbs),
 		times: timesOf(e.pendDocs),
 		text:  e.textB.Build(),
 		node:  e.nodeB.Build(),
@@ -733,7 +732,7 @@ func (e *Engine) deleteAtLocked(s *segmentSet, pos int) {
 		dead = index.NewBitmap(len(old.docs))
 	}
 	dead.Set(local)
-	clone := &segment{docs: old.docs, embs: old.embs, sigs: old.sigs, times: old.times, text: old.text, node: old.node, dead: dead}
+	clone := &segment{docs: old.docs, embs: old.embs, times: old.times, text: old.text, node: old.node, dead: dead}
 	// Tombstones are not part of the artifact identity (they live in
 	// meta.json), so the clone keeps the memoized snapshot artifacts.
 	clone.shareArtifact(old)

@@ -71,26 +71,7 @@ func (e *Engine) retrieve(ctx context.Context, snap *segmentSet, qEmb *core.DocE
 		if bonErr = faults.FireCtx(ctx, faults.BONStage); bonErr != nil {
 			return
 		}
-		if e.opts.quantizedEmb {
-			// Quantized BON: int8 signature scan plus exact rescore instead
-			// of traversing node postings (quant.go). Same Hit ordering
-			// contract, so fusion and degradation downstream are oblivious.
-			bon, st, bonErr = quantTopK(ctx, snap, docSignature(qEmb), pool, flt)
-			return
-		}
-		nq := make(search.Query, len(qEmb.Counts))
-		for n, c := range qEmb.Counts {
-			nq[nodeTerm(n)] = float64(c)
-		}
-		// BON scoring uses BM25 with b=0 and a small k1: a subgraph
-		// embedding's size is structural, not verbosity (no length
-		// penalty), and node frequencies saturate quickly so BON behaves
-		// as an idf-weighted node-set match. This keeps Equation 3's text
-		// ranking authoritative within clusters of same-event stories.
-		bonScorer := search.NewBM25(node)
-		bonScorer.B = 0
-		bonScorer.K1 = 0.4
-		bon, st, bonErr = topKAuto(ctx, node, bonScorer, nq, pool)
+		bon, st, bonErr = topKBON(ctx, node, qEmb, pool)
 	}
 	switch {
 	case runBOW && runBON:
@@ -146,6 +127,23 @@ func retrievalAttrs(candidates int, st search.RetrievalStats) []obs.Attr {
 		obs.Int("blocks_skipped", st.BlocksSkipped),
 		obs.Int("shards", st.Shards),
 	}
+}
+
+// topKBON ranks the node source against a subgraph embedding: the BON leg
+// of Equation 3. BON scoring uses BM25 with b=0 and a small k1: a subgraph
+// embedding's size is structural, not verbosity (no length penalty), and
+// node frequencies saturate quickly so BON behaves as an idf-weighted
+// node-set match. This keeps Equation 3's text ranking authoritative
+// within clusters of same-event stories.
+func topKBON(ctx context.Context, node index.Source, emb *core.DocEmbedding, k int) ([]search.Hit, search.RetrievalStats, error) {
+	nq := make(search.Query, len(emb.Counts))
+	for n, c := range emb.Counts {
+		nq[nodeTerm(n)] = float64(c)
+	}
+	sc := search.NewBM25(node)
+	sc.B = 0
+	sc.K1 = 0.4
+	return topKAuto(ctx, node, sc, nq, k)
 }
 
 // topKAuto picks the sequential or sharded block-max traversal by corpus
