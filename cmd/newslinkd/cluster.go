@@ -21,6 +21,7 @@ import (
 	"newslink/internal/cluster"
 	"newslink/internal/corpus"
 	"newslink/internal/kg"
+	"newslink/internal/server"
 )
 
 // loadGraph reads the knowledge graph the cluster roles share; without
@@ -93,6 +94,8 @@ type routerConfig struct {
 	hedge         bool
 	probeInterval time.Duration
 	queryTimeout  time.Duration
+	maxInFlight   int
+	admissionWait time.Duration
 	logger        *slog.Logger
 }
 
@@ -141,7 +144,9 @@ func routerMain(ctx context.Context, cfg routerConfig, bound chan<- string) erro
 		return err
 	}
 	defer rt.Close()
-	srv := hardenServer(&http.Server{Handler: rt.Handler()})
+	srv := hardenServer(&http.Server{Handler: rt.Handler(
+		server.WithMaxInFlight(cfg.maxInFlight),
+		server.WithAdmissionWait(cfg.admissionWait))})
 	log.Printf("cluster router serving %d shards on %s (plan %s)",
 		len(rt.Plan().Shards), ln.Addr(), rt.Plan().ID)
 	if bound != nil {

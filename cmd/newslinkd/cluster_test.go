@@ -126,6 +126,7 @@ func TestClusterDaemonEndToEnd(t *testing.T) {
 			shardAddrs:    strings.Join(addrs, ","),
 			probeInterval: 50 * time.Millisecond,
 			queryTimeout:  5 * time.Second,
+			maxInFlight:   8,
 			logger:        logger,
 		}, routerBound)
 	}()
@@ -164,6 +165,22 @@ func TestClusterDaemonEndToEnd(t *testing.T) {
 			t.Fatalf("cluster never served full results; last status %d body %s", resp.StatusCode, body)
 		}
 		time.Sleep(25 * time.Millisecond)
+	}
+
+	// -max-inflight reaches the router's edge: admission control is armed,
+	// so its in-flight gauge is registered.
+	var metrics map[string]any
+	resp, err := http.Get(base + "/v1/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = json.NewDecoder(resp.Body).Decode(&metrics)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := metrics["newslink_http_in_flight"]; !ok {
+		t.Fatal("router started with -max-inflight has no admission-control metrics")
 	}
 
 	// Production shutdown path: context end drains both roles cleanly.

@@ -115,6 +115,8 @@ func main() {
 			hedge:         *hedge,
 			probeInterval: *probeInterval,
 			queryTimeout:  *queryTimeout,
+			maxInFlight:   *maxInFlight,
+			admissionWait: *admissionWait,
 			logger:        logger,
 		}); err != nil {
 			log.Fatal(err)

@@ -44,4 +44,9 @@ var (
 	// ErrClosed is returned by writes after Close released the ingest
 	// pipeline and the write-ahead log.
 	ErrClosed = errors.New("newslink: engine closed")
+	// ErrUnavailable is returned when the part of the corpus a request
+	// needs cannot be reached right now: a cluster router with no live
+	// shard, or none holding the explained document. It is transient;
+	// the HTTP layer maps it to 503.
+	ErrUnavailable = errors.New("newslink: shard unavailable")
 )

@@ -54,7 +54,9 @@ type Config struct {
 	// request; per-shard attempt deadlines are carved out of what
 	// remains of it (default 10s).
 	RequestTimeout time.Duration
-	// Logger receives structured ejection/re-admission and access events.
+	// Logger receives the router's structured events: shard ejection and
+	// re-admission, and one access-log line per request served through
+	// Handler. Nil logs events to slog.Default and discards access logs.
 	Logger *slog.Logger
 }
 
@@ -141,11 +143,12 @@ const maxStatsCache = 1 << 16
 // latencyBounds bucket per-shard RPC latencies (seconds).
 var latencyBounds = []float64{.001, .0025, .005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5}
 
-// Router serves the public search/explain API by scatter-gather over
-// shard workers. It holds the knowledge graph (for query analysis — the
-// same analysis a single-process engine runs) and the snapshot directory
-// (to seed workers over the blob endpoint), but never loads segment
-// indexes itself.
+// Router answers search and explain by scatter-gather over shard
+// workers; it is the server.Backend that Handler serves. It holds the
+// knowledge graph (for query analysis — the same analysis a
+// single-process engine runs) and the snapshot directory (to seed
+// workers over the blob endpoint), but never loads segment indexes
+// itself.
 type Router struct {
 	plan     *Plan
 	dir      string
@@ -276,38 +279,41 @@ func (rt *Router) Start(ctx context.Context) error {
 // Close releases idle transport connections.
 func (rt *Router) Close() { rt.client.CloseIdleConnections() }
 
-// Handler returns the router's public HTTP surface: the same /v1/search
-// and /v1/explain contract the single-process server exposes (plus the
-// unversioned aliases), the blob endpoint workers fetch artifacts from,
-// and health/metrics.
-func (rt *Router) Handler() http.Handler {
+// Handler returns the router's public HTTP surface: the shared server
+// edge (internal/server) with the router as its Backend — search,
+// explain, health, readiness, stats and metrics under /v1/ and the
+// unversioned aliases, with request IDs, access logs, panic recovery and
+// optional admission control — plus the blob endpoint workers fetch
+// artifacts from. The edge bounds each request by cfg.RequestTimeout and
+// logs to cfg.Logger; opts apply after those.
+func (rt *Router) Handler(opts ...server.Option) http.Handler {
+	opts = append([]server.Option{
+		server.WithQueryTimeout(rt.cfg.RequestTimeout),
+		server.WithLogger(rt.cfg.Logger),
+	}, opts...)
 	mux := http.NewServeMux()
-	for _, prefix := range []string{"/v1", ""} {
-		mux.HandleFunc("GET "+prefix+"/search", rt.handleSearch)
-		mux.HandleFunc("GET "+prefix+"/explain", rt.handleExplain)
-		mux.HandleFunc("GET "+prefix+"/healthz", rt.handleHealth)
-		mux.HandleFunc("GET "+prefix+"/readyz", rt.handleReady)
-		mux.HandleFunc("GET "+prefix+"/stats", rt.handleStats)
-		mux.HandleFunc("GET "+prefix+"/metrics", rt.handleMetrics)
-	}
+	mux.Handle("/", server.New(rt, opts...).Handler())
 	mux.HandleFunc("GET /v1/shard/blob/{name}", blobHandler(rt.dir))
 	return mux
 }
 
-func (rt *Router) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	server.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
+// Metrics returns the router's registry: query analysis, per-shard RPC
+// and, once Handler is served, HTTP metrics.
+func (rt *Router) Metrics() *obs.Registry { return rt.registry }
 
-// handleReady answers ready while at least one shard can serve; a
-// router with zero live shards cannot produce any results.
-func (rt *Router) handleReady(w http.ResponseWriter, _ *http.Request) {
+// errNoLiveShards is the router's not-ready reason, served as the
+// /v1/readyz status.
+var errNoLiveShards = errors.New("no_live_shards")
+
+// Readiness reports the router ready while at least one shard can serve;
+// a router with zero live shards cannot produce any results.
+func (rt *Router) Readiness() error {
 	for _, sl := range rt.slots {
 		if len(sl.live()) > 0 {
-			server.WriteJSON(w, http.StatusOK, map[string]string{"status": "ready"})
-			return
+			return nil
 		}
 	}
-	server.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "no_live_shards"})
+	return errNoLiveShards
 }
 
 // ClusterStatus is the router's /v1/stats reply: the plan and per-slot
@@ -332,7 +338,8 @@ type EndpointStatus struct {
 	Healthy bool   `json:"healthy"`
 }
 
-func (rt *Router) handleStats(w http.ResponseWriter, _ *http.Request) {
+// Stats returns the router's /v1/stats body, a ClusterStatus.
+func (rt *Router) Stats() any {
 	st := ClusterStatus{Plan: rt.plan.ID}
 	for _, sl := range rt.slots {
 		ss := ShardStatus{Slot: sl.idx, Base: sl.plan.Base, Docs: sl.plan.Docs, Live: sl.plan.Live}
@@ -341,95 +348,7 @@ func (rt *Router) handleStats(w http.ResponseWriter, _ *http.Request) {
 		}
 		st.Shards = append(st.Shards, ss)
 	}
-	server.WriteJSON(w, http.StatusOK, st)
-}
-
-func (rt *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_ = rt.registry.WriteJSON(w)
-}
-
-// httpError carries a status/code pair from the scatter pipeline to the
-// handler's error envelope.
-type httpError struct {
-	Status  int
-	Code    string
-	Message string
-}
-
-func (e *httpError) Error() string { return e.Message }
-
-func httpErrorf(status int, code, format string, args ...any) *httpError {
-	return &httpError{Status: status, Code: code, Message: fmt.Sprintf(format, args...)}
-}
-
-// writeRouterError maps pipeline errors onto the uniform envelope.
-func (rt *Router) writeRouterError(w http.ResponseWriter, err error) {
-	var he *httpError
-	switch {
-	case errors.As(err, &he):
-		server.WriteError(w, he.Status, he.Code, "%s", he.Message)
-	case errors.Is(err, context.Canceled):
-		server.WriteError(w, server.StatusClientClosedRequest, "client_closed_request", "request cancelled")
-	case errors.Is(err, context.DeadlineExceeded):
-		server.WriteError(w, http.StatusGatewayTimeout, "deadline_exceeded", "query deadline exceeded")
-	default:
-		server.WriteError(w, http.StatusInternalServerError, "internal", "%v", err)
-	}
-}
-
-func (rt *Router) handleSearch(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query().Get("q")
-	if q == "" {
-		server.WriteError(w, http.StatusBadRequest, "bad_request", "missing query parameter q")
-		return
-	}
-	k, err := intParam(r, "k", 10)
-	if err != nil || k <= 0 || k > 1000 {
-		server.WriteError(w, http.StatusBadRequest, "bad_request", "k must be in [1,1000]")
-		return
-	}
-	pool, err := intParam(r, "pool", 0)
-	if err != nil || pool < 0 || pool > 10000 {
-		server.WriteError(w, http.StatusBadRequest, "bad_request", "parameter \"pool\" must be an integer in [0,10000]")
-		return
-	}
-	var beta *float64
-	if raw := r.URL.Query().Get("beta"); raw != "" {
-		b, err := strconv.ParseFloat(raw, 64)
-		if err != nil || b < 0 || b > 1 {
-			server.WriteError(w, http.StatusBadRequest, "bad_request", "parameter \"beta\" must be a number in [0,1], got %q", raw)
-			return
-		}
-		beta = &b
-	}
-	flt, err := rt.filterOf(r)
-	if err != nil {
-		server.WriteError(w, http.StatusBadRequest, "bad_request", "%v", err)
-		return
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), rt.cfg.RequestTimeout)
-	defer cancel()
-	var tr *obs.Trace
-	if r.URL.Query().Get("trace") == "1" {
-		ctx, tr = obs.WithTrace(ctx)
-	}
-	resp, err := rt.search(ctx, q, k, pool, beta, flt)
-	if err != nil {
-		rt.writeRouterError(w, err)
-		return
-	}
-	resp.Trace = tr.Spans()
-	server.WriteJSON(w, http.StatusOK, resp)
-}
-
-func intParam(r *http.Request, name string, def int) (int, error) {
-	raw := r.URL.Query().Get(name)
-	if raw == "" {
-		return def, nil
-	}
-	return strconv.Atoi(raw)
+	return st
 }
 
 // wireFilter is one request's document-filter clauses in the shape the
@@ -442,37 +361,36 @@ type wireFilter struct {
 	entities      [][]string
 }
 
-func (f wireFilter) empty() bool {
-	return f.after == 0 && f.before == 0 && len(f.entities) == 0
-}
-
-// filterOf parses the shared filter query parameters (the single-process
-// server's grammar) and resolves entity labels against the router's
+// filterOf resolves the request's entity labels against the router's
 // knowledge graph. A label that resolves to nothing stays as an empty
 // term set: it must reach the workers so the facet matches no document,
 // exactly as on a single process.
-func (rt *Router) filterOf(r *http.Request) (wireFilter, error) {
-	after, before, labels, err := server.FilterParams(r)
-	if err != nil {
-		return wireFilter{}, err
+func (rt *Router) filterOf(q newslink.Query) wireFilter {
+	f := wireFilter{after: q.After, before: q.Before}
+	if len(q.Entities) > 0 {
+		f.entities = rt.analyzer.EntityTerms(q.Entities)
 	}
-	f := wireFilter{after: after, before: before}
-	if len(labels) > 0 {
-		f.entities = rt.analyzer.EntityTerms(labels)
-	}
-	return f, nil
+	return f
 }
 
-// search runs the scatter-gather pipeline with graceful degradation:
-// shards that fail mid-request are dropped and the pipeline re-runs
-// over the survivors (global statistics re-aggregated, so the ranking
-// over the remaining corpus stays exact). Only zero live shards fail
-// the request.
-func (rt *Router) search(ctx context.Context, q string, k, pool int, betaOverride *float64, flt wireFilter) (*server.SearchResponse, error) {
-	beta := rt.plan.Config.Beta
-	if betaOverride != nil {
-		beta = *betaOverride
+// SearchContextFull runs q by scatter-gather over the shard workers with
+// graceful degradation: shards that fail mid-request are dropped and the
+// pipeline re-runs over the survivors (global statistics re-aggregated,
+// so the ranking over the remaining corpus stays exact) and the response
+// is Degraded with reason "shard_unavailable". Only zero live shards fail
+// the request, with newslink.ErrUnavailable.
+func (rt *Router) SearchContextFull(ctx context.Context, q newslink.Query) (newslink.SearchResponse, error) {
+	if q.K <= 0 {
+		return newslink.SearchResponse{}, fmt.Errorf("%w: %d", newslink.ErrInvalidK, q.K)
 	}
+	beta := rt.plan.Config.Beta
+	if q.Beta != nil {
+		beta = *q.Beta
+	}
+	if beta < 0 || beta > 1 {
+		return newslink.SearchResponse{}, fmt.Errorf("%w: %g", newslink.ErrInvalidBeta, beta)
+	}
+	k, pool := q.K, q.PoolDepth
 	if pool <= 0 {
 		pool = rt.plan.Config.PoolDepth
 	}
@@ -482,9 +400,10 @@ func (rt *Router) search(ctx context.Context, q string, k, pool int, betaOverrid
 	if pool < k {
 		pool = k
 	}
-	terms, nodeWeights, err := rt.analyzer.AnalyzeQuery(ctx, q)
+	flt := rt.filterOf(q)
+	terms, nodeWeights, err := rt.analyzer.AnalyzeQuery(ctx, q.Text)
 	if err != nil {
-		return nil, err
+		return newslink.SearchResponse{}, err
 	}
 	textQuery := search.NewQuery(terms)
 	nodeQuery := search.Query(nodeWeights)
@@ -496,14 +415,13 @@ func (rt *Router) search(ctx context.Context, q string, k, pool int, betaOverrid
 	failed := make(map[int]bool)
 	for {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return newslink.SearchResponse{}, err
 		}
 		target := rt.liveSlots(failed)
 		if len(target) == 0 {
-			return nil, httpErrorf(http.StatusServiceUnavailable, "shard_unavailable",
-				"no live shard can serve the request")
+			return newslink.SearchResponse{}, fmt.Errorf("%w: no live shard can serve the request", newslink.ErrUnavailable)
 		}
-		resp, lost := rt.searchOnce(ctx, target, q, k, pool, beta, runBOW, runBON, terms, textQuery, nodeQuery, flt)
+		results, lost := rt.searchOnce(ctx, target, k, pool, beta, runBOW, runBON, terms, textQuery, nodeQuery, flt)
 		if len(lost) > 0 {
 			for _, idx := range lost {
 				failed[idx] = true
@@ -511,13 +429,12 @@ func (rt *Router) search(ctx context.Context, q string, k, pool int, betaOverrid
 			rt.log.Warn("shards lost mid-request; re-aggregating", "lost", lost)
 			continue
 		}
+		resp := newslink.SearchResponse{Results: results, ShardsTotal: len(rt.slots), ShardsOK: len(target)}
 		if len(target) < len(rt.slots) {
 			resp.Degraded = true
 			resp.DegradedReason = "shard_unavailable"
 			rt.mPartial.Inc()
 		}
-		resp.ShardsTotal = len(rt.slots)
-		resp.ShardsOK = len(target)
 		return resp, nil
 	}
 }
@@ -535,12 +452,12 @@ func (rt *Router) liveSlots(failed map[int]bool) []*slot {
 }
 
 // searchOnce runs one pipeline pass over a fixed target set. It returns
-// the response, or the slots lost during the pass (the caller then
+// the results, or the slots lost during the pass (the caller then
 // shrinks the target and re-aggregates). Filter clauses affect only the
 // scatter phase: statistics stay those of the unfiltered target corpus
 // (matching a single process's filtered-statistics semantics), so the
 // stats cache, aggregation and pool clamp are filter-independent.
-func (rt *Router) searchOnce(ctx context.Context, target []*slot, q string, k, pool int, beta float64, runBOW, runBON bool, terms []string, textQuery, nodeQuery search.Query, flt wireFilter) (*server.SearchResponse, []int) {
+func (rt *Router) searchOnce(ctx context.Context, target []*slot, k, pool int, beta float64, runBOW, runBON bool, terms []string, textQuery, nodeQuery search.Query, flt wireFilter) ([]newslink.Result, []int) {
 	tr := obs.FromContext(ctx)
 
 	// Phase 1 — statistics. Cached (slot, index, term) summaries make
@@ -586,7 +503,7 @@ func (rt *Router) searchOnce(ctx context.Context, target []*slot, q string, k, p
 	if pool == 0 || len(orderedText)+len(orderedNode) == 0 {
 		// Nothing can match (empty live corpus or no query term posted
 		// anywhere); skip the scatter entirely.
-		return &server.SearchResponse{Query: q, K: k, Results: []newslink.Result{}}, nil
+		return nil, nil
 	}
 
 	// Phase 2 — scatter the search.
@@ -613,7 +530,7 @@ func (rt *Router) searchOnce(ctx context.Context, target []*slot, q string, k, p
 	if len(lost) > 0 {
 		return nil, lost
 	}
-	return &server.SearchResponse{Query: q, K: k, Results: results}, nil
+	return results, nil
 }
 
 // aggregated holds the globally aggregated statistics of one pass.
@@ -879,56 +796,33 @@ func (rt *Router) gatherDocs(ctx context.Context, target []*slot, fused []search
 	return results, lost
 }
 
-func (rt *Router) handleExplain(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query().Get("q")
-	if q == "" {
-		server.WriteError(w, http.StatusBadRequest, "bad_request", "missing query parameter q")
-		return
-	}
-	id, err := intParam(r, "id", -1)
-	if err != nil || id < 0 {
-		server.WriteError(w, http.StatusBadRequest, "bad_request", "missing or negative parameter id")
-		return
-	}
-	paths, err := intParam(r, "paths", 5)
-	if err != nil || paths < 0 || paths > 1000 {
-		server.WriteError(w, http.StatusBadRequest, "bad_request", "parameter \"paths\" must be in [0,1000]")
-		return
-	}
-	flt, err := rt.filterOf(r)
-	if err != nil {
-		server.WriteError(w, http.StatusBadRequest, "bad_request", "%v", err)
-		return
-	}
-	idx, ok := rt.plan.ShardOf(id)
+// ExplainQueryContext routes the explanation to the shard owning docID,
+// which explains it exactly as a single process would. A document outside
+// the plan, tombstoned or outside q's filters is newslink.ErrUnknownDoc;
+// an owning shard that cannot be reached is newslink.ErrUnavailable.
+func (rt *Router) ExplainQueryContext(ctx context.Context, q newslink.Query, docID, maxPaths int) (newslink.Explanation, error) {
+	idx, ok := rt.plan.ShardOf(docID)
 	if !ok {
-		server.WriteError(w, http.StatusNotFound, "unknown_document", "no live document %d", id)
-		return
+		return newslink.Explanation{}, fmt.Errorf("%w: no live document %d", newslink.ErrUnknownDoc, docID)
 	}
 	sl := rt.slots[idx]
 	if len(sl.live()) == 0 {
-		server.WriteError(w, http.StatusServiceUnavailable, "shard_unavailable",
-			"the shard holding document %d is unavailable", id)
-		return
+		return newslink.Explanation{}, fmt.Errorf("%w: no live replica holds document %d", newslink.ErrUnavailable, docID)
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), rt.cfg.RequestTimeout)
-	defer cancel()
-	req := ExplainRequest{Plan: rt.plan.ID, Query: q, DocID: id, MaxPaths: paths,
+	flt := rt.filterOf(q)
+	req := ExplainRequest{Plan: rt.plan.ID, Query: q.Text, DocID: docID, MaxPaths: maxPaths,
 		After: flt.after, Before: flt.before, Entities: flt.entities}
 	var resp ExplainResponse
 	if err := rt.callSlot(ctx, sl, "/v1/shard/explain", &req, &resp); err != nil {
 		var se *rpcStatusError
 		switch {
 		case errors.As(err, &se) && se.Status == http.StatusNotFound:
-			server.WriteError(w, http.StatusNotFound, "unknown_document", "%s", se.Message)
-		case errors.Is(err, context.DeadlineExceeded):
-			server.WriteError(w, http.StatusGatewayTimeout, "deadline_exceeded", "query deadline exceeded")
-		case errors.Is(err, context.Canceled):
-			server.WriteError(w, server.StatusClientClosedRequest, "client_closed_request", "request cancelled")
+			return newslink.Explanation{}, fmt.Errorf("%w: %s", newslink.ErrUnknownDoc, se.Message)
+		case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
+			return newslink.Explanation{}, err
 		default:
-			server.WriteError(w, http.StatusServiceUnavailable, "shard_unavailable", "%v", err)
+			return newslink.Explanation{}, fmt.Errorf("%w: %v", newslink.ErrUnavailable, err)
 		}
-		return
 	}
-	server.WriteJSON(w, http.StatusOK, server.ExplainResponse{Query: q, DocID: id, Explanation: resp.Explanation})
+	return resp.Explanation, nil
 }

@@ -1,6 +1,9 @@
-// Package server exposes a NewsLink engine over HTTP with a small JSON API
+// Package server exposes a NewsLink Backend over HTTP with a small JSON API
 // (the paper's NE component "runs as a backend server"; this serves the
-// whole search pipeline). Routes are versioned under /v1/; the unversioned
+// whole search pipeline). A Backend answers search and explain and owns a
+// metric registry: a single-process *newslink.Engine is one, the cluster
+// router (internal/cluster) is the other, so both deployments share this
+// one serving edge. Routes are versioned under /v1/; the unversioned
 // spellings are kept as aliases for old clients:
 //
 //	GET    /v1/search?q=<text>&k=<n>[&beta=<b>][&pool=<d>][&after=<t>][&before=<t>][&entity=<label>...][&trace=1]  ranked results (Equation 3)
@@ -15,6 +18,10 @@
 //	GET    /v1/stats                                                  engine and graph statistics
 //	GET    /v1/metrics                                                metric registry as JSON
 //	GET    /v1/metrics/prom                                           Prometheus text exposition
+//
+// related, dot and the /docs writes need the engine's stored documents and
+// are mounted only when the Backend is a *newslink.Engine; a router
+// answers them 404.
 //
 // The filter parameters compose conjunctively: after= and before= bound
 // Document.Time inclusively (0/absent = unbounded), and entity= may repeat
@@ -59,14 +66,34 @@ import (
 	"newslink/internal/obs"
 )
 
-// StatusClientClosedRequest is the non-standard (nginx-originated) status
+// statusClientClosedRequest is the non-standard (nginx-originated) status
 // for requests abandoned by the client before a response was produced.
-const StatusClientClosedRequest = 499
+const statusClientClosedRequest = 499
 
 // maxPoolDepth caps the per-request candidate pool. Like the cap on k, it
 // keeps an unauthenticated query parameter from sizing server allocations
 // (the engine additionally clamps the pool to the corpus size).
 const maxPoolDepth = 10000
+
+// maxExplainPaths caps the relationship paths one explain may enumerate,
+// for the same reason.
+const maxExplainPaths = 1000
+
+// Backend is what the server serves: search, explain and the metric
+// registry the HTTP layer registers its own metrics into.
+type Backend interface {
+	SearchContextFull(ctx context.Context, q newslink.Query) (newslink.SearchResponse, error)
+	ExplainQueryContext(ctx context.Context, q newslink.Query, docID, maxPaths int) (newslink.Explanation, error)
+	Metrics() *obs.Registry
+}
+
+// statusBackend is implemented by a Backend with its own readiness and
+// /v1/stats body (the cluster router: ready while a shard is live, stats
+// are the plan and replica health).
+type statusBackend interface {
+	Readiness() error
+	Stats() any
+}
 
 // Option configures a Server.
 type Option func(*Server)
@@ -107,11 +134,12 @@ func WithAdmissionWait(d time.Duration) Option {
 	return func(s *Server) { s.admissionWait = d }
 }
 
-// Server wraps a built engine. All handlers are read-only and safe for
-// concurrent use; the engine's own locking makes them safe against
-// concurrent Add/Refresh as well.
+// Server serves a Backend. All handlers are safe for concurrent use; the
+// engine's own locking makes them safe against concurrent Add/Refresh as
+// well.
 type Server struct {
-	engine        *newslink.Engine
+	backend       Backend
+	engine        *newslink.Engine // the backend when it is an engine, else nil
 	queryTimeout  time.Duration
 	maxInFlight   int
 	admissionWait time.Duration
@@ -123,17 +151,18 @@ type Server struct {
 	ready         atomic.Bool
 }
 
-// New returns a Server over a built engine. HTTP-level metrics register
-// into the engine's own registry, so /v1/metrics exposes the engine and
-// the HTTP layer in one document. The server starts ready; SetReady
-// flips /v1/readyz for drain orchestration.
-func New(e *newslink.Engine, opts ...Option) *Server {
+// New returns a Server over a backend. HTTP-level metrics register into
+// the backend's own registry, so /v1/metrics exposes the backend and the
+// HTTP layer in one document. The server starts ready; SetReady flips
+// /v1/readyz for drain orchestration.
+func New(b Backend, opts ...Option) *Server {
 	s := &Server{
-		engine:    e,
+		backend:   b,
 		log:       slog.New(slog.NewTextHandler(io.Discard, nil)),
-		registry:  e.Metrics(),
+		registry:  b.Metrics(),
 		requestID: newRequestID(),
 	}
+	s.engine, _ = b.(*newslink.Engine)
 	for _, o := range opts {
 		o(s)
 	}
@@ -151,6 +180,15 @@ func New(e *newslink.Engine, opts ...Option) *Server {
 // sending new work while in-flight requests complete.
 func (s *Server) SetReady(ready bool) { s.ready.Store(ready) }
 
+// route is one registered endpoint.
+type route struct {
+	method  string
+	pattern string // path pattern under the version prefix
+	name    string // metric/log label
+	h       http.HandlerFunc
+	weight  int64 // 0 = exempt from admission control
+}
+
 // Handler returns the HTTP handler with all routes registered, each under
 // /v1/ and as a legacy unversioned alias. Every route is wrapped with
 // request-ID assignment, panic recovery, access logging and HTTP metrics;
@@ -159,25 +197,23 @@ func (s *Server) SetReady(ready bool) { s.ready.Store(ready) }
 // admission — an overloaded server must still answer its probes.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	routes := []struct {
-		method  string
-		pattern string // path pattern under the version prefix
-		name    string // metric/log label
-		h       http.HandlerFunc
-		weight  int64 // 0 = exempt from admission control
-	}{
+	routes := []route{
 		{"GET", "search", "search", s.handleSearch, 1},
-		{"GET", "related/{id}", "related", s.handleRelated, 1},
 		{"GET", "explain", "explain", s.handleExplain, 2},
-		{"GET", "dot", "dot", s.handleDOT, 2},
-		{"POST", "docs", "docs_upsert", s.handleDocUpsert, 1},
-		{"POST", "docs:stream", "docs_ingest", s.handleDocIngest, 1},
-		{"DELETE", "docs/{id}", "docs_delete", s.handleDocDelete, 1},
 		{"GET", "healthz", "healthz", s.handleHealth, 0},
 		{"GET", "readyz", "readyz", s.handleReady, 0},
 		{"GET", "stats", "stats", s.handleStats, 0},
 		{"GET", "metrics", "metrics", s.handleMetrics, 0},
 		{"GET", "metrics/prom", "metrics/prom", s.handleMetricsProm, 0},
+	}
+	if s.engine != nil {
+		routes = append(routes,
+			route{"GET", "related/{id}", "related", s.handleRelated, 1},
+			route{"GET", "dot", "dot", s.handleDOT, 2},
+			route{"POST", "docs", "docs_upsert", s.handleDocUpsert, 1},
+			route{"POST", "docs:stream", "docs_ingest", s.handleDocIngest, 1},
+			route{"DELETE", "docs/{id}", "docs_delete", s.handleDocDelete, 1},
+		)
 	}
 	for _, rt := range routes {
 		h := rt.h
@@ -310,7 +346,7 @@ func badRequest(w http.ResponseWriter, format string, args ...any) {
 func (s *Server) writeEngineError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, context.Canceled):
-		writeError(w, StatusClientClosedRequest, "client_closed_request", "request cancelled")
+		writeError(w, statusClientClosedRequest, "client_closed_request", "request cancelled")
 	case errors.Is(err, context.DeadlineExceeded):
 		writeError(w, http.StatusGatewayTimeout, "deadline_exceeded", "query deadline exceeded")
 	case errors.Is(err, newslink.ErrUnknownDoc):
@@ -328,6 +364,8 @@ func (s *Server) writeEngineError(w http.ResponseWriter, err error) {
 		writeError(w, http.StatusTooManyRequests, "ingest_overload", "%v", err)
 	case errors.Is(err, newslink.ErrClosed):
 		writeError(w, http.StatusServiceUnavailable, "shutting_down", "%v", err)
+	case errors.Is(err, newslink.ErrUnavailable):
+		writeError(w, http.StatusServiceUnavailable, "shard_unavailable", "%v", err)
 	default:
 		writeError(w, http.StatusInternalServerError, "internal", "%v", err)
 	}
@@ -370,11 +408,10 @@ func int64Param(r *http.Request, name string) (int64, error) {
 // caps on unauthenticated request sizing.
 const maxEntityFilters = 16
 
-// FilterParams parses the shared document-filter query parameters:
+// filterParams parses the shared document-filter query parameters:
 // after=/before= (inclusive Document.Time bounds) and entity= (repeatable
-// must-match entity labels). The cluster router parses the same grammar,
-// so single-process and clustered deployments accept identical requests.
-func FilterParams(r *http.Request) (after, before int64, entities []string, err error) {
+// must-match entity labels).
+func filterParams(r *http.Request) (after, before int64, entities []string, err error) {
 	if after, err = int64Param(r, "after"); err != nil {
 		return 0, 0, nil, err
 	}
@@ -413,7 +450,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		badRequest(w, "parameter \"pool\" must be an integer in [0,%d]", maxPoolDepth)
 		return
 	}
-	after, before, entities, err := FilterParams(r)
+	after, before, entities, err := filterParams(r)
 	if err != nil {
 		badRequest(w, "%v", err)
 		return
@@ -430,7 +467,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.queryContext(r)
 	defer cancel()
 	ctx, tr := maybeTrace(ctx, r)
-	resp, err := s.engine.SearchContextFull(ctx, req)
+	resp, err := s.backend.SearchContextFull(ctx, req)
 	if err != nil {
 		s.writeEngineError(w, err)
 		return
@@ -446,6 +483,8 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		Results:        results,
 		Degraded:       resp.Degraded,
 		DegradedReason: resp.DegradedReason,
+		ShardsTotal:    resp.ShardsTotal,
+		ShardsOK:       resp.ShardsOK,
 		Trace:          tr.Spans(),
 	})
 }
@@ -475,7 +514,7 @@ func (s *Server) handleRelated(w http.ResponseWriter, r *http.Request) {
 		badRequest(w, "parameter \"pool\" must be an integer in [0,%d]", maxPoolDepth)
 		return
 	}
-	after, before, entities, err := FilterParams(r)
+	after, before, entities, err := filterParams(r)
 	if err != nil {
 		badRequest(w, "%v", err)
 		return
@@ -524,11 +563,11 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	paths, err := intParam(r, "paths", 5)
-	if err != nil {
-		badRequest(w, "%v", err)
+	if err != nil || paths < 0 || paths > maxExplainPaths {
+		badRequest(w, "parameter \"paths\" must be an integer in [0,%d]", maxExplainPaths)
 		return
 	}
-	after, before, entities, err := FilterParams(r)
+	after, before, entities, err := filterParams(r)
 	if err != nil {
 		badRequest(w, "%v", err)
 		return
@@ -536,7 +575,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.queryContext(r)
 	defer cancel()
 	ctx, tr := maybeTrace(ctx, r)
-	exp, err := s.engine.ExplainQueryContext(ctx, newslink.Query{Text: q, After: after, Before: before, Entities: entities}, id, paths)
+	exp, err := s.backend.ExplainQueryContext(ctx, newslink.Query{Text: q, After: after, Before: before, Entities: entities}, id, paths)
 	if err != nil {
 		s.writeEngineError(w, err)
 		return
@@ -662,11 +701,18 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleReady is the readiness probe: 200 while the server accepts new
-// work, 503 once a drain began. Load balancers route on this one.
+// work, 503 once a drain began or while the backend reports itself not
+// ready (its error text is the status). Load balancers route on this one.
 func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 	if !s.ready.Load() {
 		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
+	}
+	if sb, ok := s.backend.(statusBackend); ok {
+		if err := sb.Readiness(); err != nil {
+			writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": err.Error()})
+			return
+		}
 	}
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 }
@@ -693,6 +739,10 @@ func (s *Server) handleMetricsProm(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
+	if sb, ok := s.backend.(statusBackend); ok {
+		writeJSON(w, http.StatusOK, sb.Stats())
+		return
+	}
 	g := s.engine.Graph()
 	writeJSON(w, http.StatusOK, StatsResponse{
 		Docs:        s.engine.NumDocs(),

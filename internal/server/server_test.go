@@ -156,6 +156,10 @@ func TestExplainEndpoint(t *testing.T) {
 	}
 	getErr(t, ts, "/v1/explain?q=x", http.StatusBadRequest)
 	getErr(t, ts, "/v1/explain?id=1", http.StatusBadRequest)
+	// paths is capped like k and pool: it sizes the path enumeration.
+	getErr(t, ts, "/v1/explain?q=x&id=1&paths=abc", http.StatusBadRequest)
+	getErr(t, ts, "/v1/explain?q=x&id=1&paths=-1", http.StatusBadRequest)
+	getErr(t, ts, "/v1/explain?q=x&id=1&paths=5000", http.StatusBadRequest)
 	if e := getErr(t, ts, "/v1/explain?q=x&id=9999", http.StatusNotFound); e.Code != "unknown_document" {
 		t.Fatalf("error code = %+v", e)
 	}
@@ -316,7 +320,7 @@ func TestEngineErrorMapping(t *testing.T) {
 		}
 		return w.Code, e.Error
 	}
-	if code, e := rec(context.Canceled); code != StatusClientClosedRequest || e.Code != "client_closed_request" {
+	if code, e := rec(context.Canceled); code != statusClientClosedRequest || e.Code != "client_closed_request" {
 		t.Fatalf("canceled -> %d %+v", code, e)
 	}
 	if code, e := rec(context.DeadlineExceeded); code != http.StatusGatewayTimeout || e.Code != "deadline_exceeded" {
@@ -327,5 +331,8 @@ func TestEngineErrorMapping(t *testing.T) {
 	}
 	if code, _ := rec(newslink.ErrInvalidK); code != http.StatusBadRequest {
 		t.Fatalf("invalid k -> %d", code)
+	}
+	if code, e := rec(newslink.ErrUnavailable); code != http.StatusServiceUnavailable || e.Code != "shard_unavailable" {
+		t.Fatalf("unavailable -> %d %+v", code, e)
 	}
 }

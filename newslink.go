@@ -161,11 +161,17 @@ const (
 type SearchResponse struct {
 	Results []Result
 	// Degraded reports that the BON stage failed or timed out and Results
-	// carry BOW-only ranking.
+	// carry BOW-only ranking — or, on a cluster router, that Results cover
+	// only the live shards.
 	Degraded bool
 	// DegradedReason is DegradedBONError or DegradedBONTimeout when
-	// Degraded, empty otherwise.
+	// Degraded ("shard_unavailable" on a router), empty otherwise.
 	DegradedReason string
+	// ShardsTotal and ShardsOK report a cluster router's scatter fan-out:
+	// the shards of the plan and those that answered. A single-process
+	// engine leaves both 0.
+	ShardsTotal int
+	ShardsOK    int
 }
 
 // Path is one relationship path presented as evidence: Nodes holds the

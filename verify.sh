@@ -1,7 +1,8 @@
 #!/bin/sh
-# Full verification gate: formatting, static checks, build, and the
+# Full verification gate: formatting, static checks, build, the
 # complete test suite under the race detector (the concurrency tests in
-# concurrency_test.go are only meaningful with -race).
+# concurrency_test.go are only meaningful with -race), and vet + tests of
+# the benchmark module in nlbench/.
 #
 # CI (.github/workflows/ci.yml) invokes this same script, so the local and
 # CI gates cannot drift. Strictly POSIX sh: no bashisms, and the repo root
@@ -28,5 +29,11 @@ go build ./...
 
 echo '>> go test -race ./...'
 go test -race ./...
+
+# nlbench/ is its own module (it imports this one through a replace
+# directive), so ./... above never builds it; vet and test it here so an
+# API change it depends on fails this gate, not the benchmark run.
+echo '>> nlbench: go vet ./... && go test ./...'
+(cd nlbench && go vet ./... && go test ./...)
 
 echo '>> verify.sh: all checks passed'
